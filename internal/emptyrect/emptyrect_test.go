@@ -325,45 +325,3 @@ func TestBestFitConsistencyProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestMinerIncrementalReuse drives one Miner through a long sequence
-// of localized grid mutations — the access pattern of the incremental
-// FTI kernel, where each annealing move dirties a handful of rows —
-// and checks every re-mine against a from-scratch enumeration,
-// including the order of emission. Dimension changes and no-op
-// re-mines of an unchanged grid are mixed in to cover the snapshot
-// reset and full-replay paths.
-func TestMinerIncrementalReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var mn Miner
-	g := grid.New(10, 13)
-	check := func(step int) {
-		t.Helper()
-		got := mn.AppendMaximal(nil, g)
-		var fresh Miner
-		want := fresh.AppendMaximal(nil, g)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: incremental found %d MERs, scratch %d\ngrid:\n%s", step, len(got), len(want), g)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d MER %d: incremental %v, scratch %v\ngrid:\n%s", step, i, got[i], want[i], g)
-			}
-		}
-	}
-	check(-1)
-	for step := 0; step < 600; step++ {
-		switch rng.Intn(20) {
-		case 0: // resize: caches must reset
-			g.Resize(1+rng.Intn(14), 1+rng.Intn(14))
-		case 1: // unchanged grid: pure cache replay
-		default:
-			r := geom.Rect{
-				X: rng.Intn(g.W()), Y: rng.Intn(g.H()),
-				W: 1 + rng.Intn(4), H: 1 + rng.Intn(3),
-			}
-			g.SetRect(r, rng.Intn(2) == 0)
-		}
-		check(step)
-	}
-}

@@ -1,6 +1,9 @@
 // Package fti computes the paper's fault tolerance index (Section 5.2)
-// and the underlying per-cell C-coverage, using the fast
-// maximal-empty-rectangle procedure of Section 5.3.
+// and the underlying per-cell C-coverage. Section 5.3 answers the
+// per-cell relocation question by mining maximal empty rectangles;
+// this package answers the same question exactly with a word-level
+// feasible-site intersection (see ComputeOn), and keeps the paper's
+// procedure and an exhaustive search as test oracles.
 //
 // For a configuration C on an m×n array, a cell is C-covered if
 //
@@ -24,8 +27,8 @@ package fti
 
 import (
 	"fmt"
+	"math/bits"
 
-	"dmfb/internal/emptyrect"
 	"dmfb/internal/geom"
 	"dmfb/internal/grid"
 	"dmfb/internal/place"
@@ -77,13 +80,19 @@ func Compute(p *place.Placement) Result {
 // ComputeOn analyses the placement on an explicit array. Modules are
 // clipped to the array; cells outside the array do not exist.
 //
-// The procedure follows Section 5.3: for each module M, the
-// configuration during M's operation is encoded as a 0/1 matrix with M
-// temporarily removed, the maximal empty rectangles of that matrix are
-// enumerated once, and every cell of M is then tested arithmetically —
-// the relocation site must accommodate M's footprint while avoiding
-// the faulty cell (which the paper models by marking it as a 1).
+// The per-module test is the feasible-site intersection of Section 5.3's
+// relocation question: with M removed and the modules active during M's
+// span as obstacles, let P be the set of free footprint sites for M in
+// either orientation. A faulty cell f of M defeats relocation exactly
+// when every site in P covers f, i.e. when P is empty or f ∈ ∩P. The
+// intersection of axis-aligned rectangles is a rectangle, so each
+// module's uncovered cells form one rectangle, found by a word-level
+// scan of the occupancy matrix (see moduleEval.eval).
 func ComputeOn(p *place.Placement, array geom.Rect) Result {
+	if array.Empty() {
+		// No cells: nothing to cover and nowhere to relocate to.
+		return Result{Array: array, CoveredMap: []bool{}, ModuleRelocatable: make([]bool, len(p.Modules))}
+	}
 	res := Result{
 		Array:             array,
 		Total:             array.Cells(),
@@ -96,18 +105,15 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 		res.CoveredMap[i] = true
 	}
 
-	var scratch *moduleEval
-	var uncov []int32
+	e := newModuleEval(array)
 	for mi := range p.Modules {
-		if scratch == nil {
-			scratch = newModuleEval(array)
+		a := e.eval(p, mi)
+		for y := a.uncovered.Y; y < a.uncovered.MaxY(); y++ {
+			for x := a.uncovered.X; x < a.uncovered.MaxX(); x++ {
+				res.CoveredMap[y*array.W+x] = false
+			}
 		}
-		var relocatable bool
-		uncov, relocatable = scratch.eval(p, mi, uncov[:0])
-		for _, c := range uncov {
-			res.CoveredMap[c] = false
-		}
-		res.ModuleRelocatable[mi] = relocatable
+		res.ModuleRelocatable[mi] = a.reloc
 	}
 
 	for _, c := range res.CoveredMap {
@@ -119,54 +125,122 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 }
 
 // moduleEval holds the reusable scratch buffers of the per-module
-// relocatability test: the occupancy grid of the array and the MER
-// list mined from it. One instance serves any number of evaluations on
-// the same array size.
+// relocatability test: the occupancy grid of the array and one
+// run-start mask row per grid row. One instance serves any number of
+// evaluations on the same array.
 type moduleEval struct {
 	array geom.Rect
 	g     *grid.Grid
-	miner emptyrect.Miner
-	mers  []geom.Rect
+	runs  []uint64
 }
 
 func newModuleEval(array geom.Rect) *moduleEval {
 	return &moduleEval{array: array, g: grid.New(array.W, array.H)}
 }
 
-// eval runs the Section 5.3 per-module procedure for module mi: encode
-// the configuration during mi's time span with mi removed, mine the
-// maximal empty rectangles once, and test each of mi's cells
-// arithmetically. It appends the array-local indices of mi's cells
-// that defeat relocation to dst and reports whether any cell of mi is
-// relocatable.
-func (e *moduleEval) eval(p *place.Placement, mi int, dst []int32) ([]int32, bool) {
-	return e.evalWith(p, mi, dst, &e.miner)
+// analysis is one module's relocatability analysis: the array-local
+// rectangle of its cells that defeat relocation, and whether any of
+// its cells is relocatable.
+type analysis struct {
+	uncovered geom.Rect
+	reloc     bool
 }
 
-// evalWith is eval with an explicit miner, so callers that evaluate
-// many modules repeatedly (the incremental FTI kernel) can keep one
-// miner per module: the miner's grid snapshot then diffs against the
-// same module's previous configuration and re-mines only the rows the
-// last move dirtied.
-func (e *moduleEval) evalWith(p *place.Placement, mi int, dst []int32, mn *emptyrect.Miner) ([]int32, bool) {
+// eval analyses module mi on the configuration during its time span
+// with mi removed. Its uncovered cells are its clipped cells ∩ ∩P, or
+// all of them when no site exists.
+func (e *moduleEval) eval(p *place.Placement, mi int) analysis {
 	m := p.Modules[mi]
-	// Occupancy during M's time span with M removed. Any module whose
-	// span overlaps M's is an obstacle somewhere during M's operation.
+	cells := p.Rect(mi).Intersect(e.array).Translate(-e.array.X, -e.array.Y)
+	if cells.Empty() {
+		return analysis{}
+	}
 	p.FillOccupancyDuring(e.g, e.array, m.Span, mi)
-	e.mers = mn.AppendMaximal(e.mers[:0], e.g)
-	cells := p.Rect(mi).Intersect(e.array)
-	anyRelocatable := false
-	for y := cells.Y; y < cells.MaxY(); y++ {
-		for x := cells.X; x < cells.MaxX(); x++ {
-			local := geom.Point{X: x - e.array.X, Y: y - e.array.Y}
-			if emptyrect.AccommodatesAvoiding(e.mers, m.Size, local) {
-				anyRelocatable = true
-				continue
-			}
-			dst = append(dst, int32(local.Y*e.array.W+local.X))
+	uncov, ok := e.siteIntersection(m.Size, cells)
+	// Once one orientation's sites leave no cell uncovered, the other
+	// orientation can only shrink the intersection further.
+	if !m.Size.IsSquare() && !(ok && uncov.Empty()) {
+		t, tok := e.siteIntersection(m.Size.Transpose(), cells)
+		switch {
+		case tok && ok:
+			uncov = uncov.Intersect(t)
+		case tok:
+			uncov, ok = t, true
 		}
 	}
-	return dst, anyRelocatable
+	if !ok {
+		return analysis{uncovered: cells}
+	}
+	return analysis{uncov, uncov.Cells() < cells.Cells()}
+}
+
+// siteIntersection intersects clip with every free s.W×s.H site of
+// the grid, and reports false when there is no site. Row y's run-start
+// mask has bit x set iff cells x..x+s.W-1 of row y are free (the free
+// row shift-ANDed s.W-1 times); ANDing s.H consecutive masks gives the
+// origins of the sites in that origin row. With origins spanning
+// [x0,x1]×[y0,y1], every site contains [x1, x0+s.W)×[y1, y0+s.H), and
+// nothing outside it is in all of them. The scan stops as soon as that
+// running intersection misses clip.
+func (e *moduleEval) siteIntersection(s geom.Size, clip geom.Rect) (geom.Rect, bool) {
+	gw, gh, wpr := e.g.W(), e.g.H(), e.g.WordsPerRow()
+	if s.W > gw || s.H > gh {
+		return geom.Rect{}, false
+	}
+	words := e.g.Words()
+	if cap(e.runs) < len(words) {
+		e.runs = make([]uint64, len(words))
+	}
+	runs := e.runs[:len(words)]
+	tail := ^uint64(0) >> (uint(-gw) % 64) // in-row bits of a row's last word
+	x0, x1, y0, y1 := gw, -1, gh, -1
+	var hit geom.Rect
+	for y := 0; y < gh; y++ {
+		row := words[y*wpr : (y+1)*wpr]
+		for i := range row {
+			r := freeWord(row, i, tail)
+			for k := 1; k < s.W && r != 0; k++ {
+				q, b := i+k/64, uint(k%64)
+				r &= freeWord(row, q, tail)>>b | freeWord(row, q+1, tail)<<(64-b)
+			}
+			runs[y*wpr+i] = r
+		}
+		oy := y + 1 - s.H // the origin row whose sites end on row y
+		if oy < 0 {
+			continue
+		}
+		for i := 0; i < wpr; i++ {
+			o := runs[oy*wpr+i]
+			for j := oy + 1; j <= y && o != 0; j++ {
+				o &= runs[j*wpr+i]
+			}
+			if o != 0 {
+				x0 = min(x0, i*64+bits.TrailingZeros64(o))
+				x1 = max(x1, i*64+63-bits.LeadingZeros64(o))
+				y0, y1 = min(y0, oy), oy
+			}
+		}
+		if x1 >= 0 {
+			hit = clip.Intersect(geom.Rect{X: x1, Y: y1, W: x0 + s.W - x1, H: y0 + s.H - y1})
+			if hit.Empty() {
+				return hit, true
+			}
+		}
+	}
+	return hit, x1 >= 0
+}
+
+// freeWord returns word j of the row's free mask. Cells past the row
+// end read as occupied: tail masks the last word's padding bits, and
+// words past the row are zero.
+func freeWord(row []uint64, j int, tail uint64) uint64 {
+	switch {
+	case j < len(row)-1:
+		return ^row[j]
+	case j == len(row)-1:
+		return ^row[j] & tail
+	}
+	return 0
 }
 
 // ComputeBrute is an exhaustive oracle for the test suite: for every

@@ -1,6 +1,7 @@
 package fti
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -168,43 +169,82 @@ func TestEmptyPlacementOnArray(t *testing.T) {
 	}
 }
 
-// Property: the fast MER-based computation agrees exactly with the
-// brute-force relocation search on random placements.
+// TestZeroAreaArray is the regression test for ComputeOn on an array
+// with no cells: it must report FTI 0, exactly as the oracle does,
+// instead of trying to build a 0-wide occupancy grid.
+func TestZeroAreaArray(t *testing.T) {
+	p := place.New([]place.Module{mod(0, "A", 2, 2, 0, 10), mod(1, "B", 1, 3, 5, 9)})
+	p.Pos[1] = geom.Point{X: 3, Y: 0}
+	for _, array := range []geom.Rect{
+		{X: 0, Y: 0, W: 0, H: 3},
+		{X: 1, Y: 1, W: 4, H: 0},
+		{},
+	} {
+		got := ComputeOn(p, array)
+		if got.Total != 0 || got.FTI() != 0 {
+			t.Fatalf("%v: got %v, want FTI 0", array, got)
+		}
+		assertSameResult(t, fmt.Sprintf("zero-area %v", array), got, ComputeBrute(p, array))
+	}
+}
+
+// randomCase draws a random placement and the array to analyse it on.
+// Modules may extend past the array (they are clipped) and may overlap
+// (stage 2 prices infeasible placements too). Every third case
+// analyses the bounding box widened by a margin instead, so module
+// coordinates sit off the array origin.
+func randomCase(rng *rand.Rand, minW, maxW, maxH, maxSide int) (*place.Placement, geom.Rect) {
+	n := 1 + rng.Intn(6)
+	mods := make([]place.Module, n)
+	for i := range mods {
+		st := rng.Intn(8)
+		mods[i] = mod(i, "M", 1+rng.Intn(maxSide), 1+rng.Intn(min(maxSide, 4)), st, st+1+rng.Intn(8))
+	}
+	p := place.New(mods)
+	aw, ah := minW+rng.Intn(maxW-minW+1), 1+rng.Intn(maxH)
+	for i := range mods {
+		p.Pos[i] = geom.Point{X: rng.Intn(aw), Y: rng.Intn(ah)}
+		p.Rot[i] = rng.Intn(2) == 0
+	}
+	array := geom.Rect{X: 0, Y: 0, W: aw, H: ah}
+	if rng.Intn(3) == 0 {
+		bb := p.BoundingBox()
+		m := 1 + rng.Intn(2)
+		array = geom.Rect{X: bb.X - m, Y: bb.Y - m, W: bb.W + 2*m, H: bb.H + 2*m}
+	}
+	return p, array
+}
+
+// checkOracles asserts ComputeOn agrees exactly with the brute-force
+// relocation search and with the Section 5.3 MER procedure.
+func checkOracles(t *testing.T, tag string, p *place.Placement, array geom.Rect) {
+	t.Helper()
+	fast := ComputeOn(p, array)
+	assertSameResult(t, tag+" vs ComputeBrute", fast, ComputeBrute(p, array))
+	assertSameResult(t, tag+" vs MER oracle", fast, computeMER(p, array))
+	if t.Failed() {
+		t.Fatalf("%s: array %v\nplacement:\n%s", tag, array, p)
+	}
+}
+
+// Property: the feasible-site kernel agrees exactly with both oracles
+// on random placements, on arrays within one word.
 func TestFastMatchesBruteProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + rng.Intn(4)
-		mods := make([]place.Module, n)
-		for i := range mods {
-			st := rng.Intn(8)
-			mods[i] = mod(i, "M", 1+rng.Intn(3), 1+rng.Intn(3), st, st+1+rng.Intn(8))
-		}
-		p := place.New(mods)
-		aw, ah := 4+rng.Intn(5), 4+rng.Intn(5)
-		for i := range mods {
-			p.Pos[i] = geom.Point{X: rng.Intn(aw), Y: rng.Intn(ah)}
-			p.Rot[i] = rng.Intn(2) == 0
-		}
-		if !p.Valid() {
-			continue // only feasible configurations are meaningful
-		}
-		array := geom.Rect{X: 0, Y: 0, W: aw, H: ah}
-		fast := ComputeOn(p, array)
-		brute := ComputeBrute(p, array)
-		if fast.Covered != brute.Covered {
-			t.Fatalf("trial %d: covered %d vs %d\nplacement:\n%s",
-				trial, fast.Covered, brute.Covered, p)
-		}
-		for i := range fast.CoveredMap {
-			if fast.CoveredMap[i] != brute.CoveredMap[i] {
-				t.Fatalf("trial %d: cell %d coverage differs", trial, i)
-			}
-		}
-		for i := range fast.ModuleRelocatable {
-			if fast.ModuleRelocatable[i] != brute.ModuleRelocatable[i] {
-				t.Fatalf("trial %d: module %d relocatable differs", trial, i)
-			}
-		}
+	for trial := 0; trial < 4000; trial++ {
+		p, array := randomCase(rng, 2, 12, 12, 4)
+		checkOracles(t, fmt.Sprintf("trial %d", trial), p, array)
+	}
+}
+
+// Property: the same exactness on arrays wider than one and two
+// 64-cell words, with modules wide enough that the run-start shifts
+// cross word boundaries.
+func TestFastMatchesBruteWideArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 300; trial++ {
+		p, array := randomCase(rng, 60, 170, 5, 70)
+		checkOracles(t, fmt.Sprintf("wide trial %d", trial), p, array)
 	}
 }
 

@@ -1,9 +1,6 @@
 package fti
 
 import (
-	"fmt"
-
-	"dmfb/internal/emptyrect"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 )
@@ -17,21 +14,22 @@ import (
 // depends only on the array, j's own rectangle, and the rectangles of
 // the modules active during j's span (its span-overlap neighbours).
 // Moving module i therefore invalidates exactly {i} ∪ adj(i); every
-// other module's knocked-out cell set is reused verbatim. When the
-// array (the placement's bounding box) changes, every module's
-// analysis is over a different matrix and the whole cache is rebuilt.
+// other module's analysis is reused verbatim. When the array (the
+// placement's bounding box) changes, every module's analysis is over a
+// different matrix and the whole cache is rebuilt.
 //
-// Coverage is aggregated through per-cell knockout counters: knock[c]
-// counts the modules whose analysis marks array cell c uncovered, and
-// Covered is the number of cells with a zero count — identical, cell
-// for cell, to ComputeOn's CoveredMap (the differential tests assert
-// exact equality over long random move sequences).
+// Each module's analysis marks one rectangle of cells uncovered, so
+// the uncovered cells are the union of those rectangles: Covered is
+// the array size minus the union's popcount, taken over a word grid —
+// identical, cell for cell, to ComputeOn's CoveredMap (the
+// differential tests assert exact equality over long random move
+// sequences).
 //
 // The speculation protocol mirrors the annealing kernel: mutate the
 // placement, call Apply with the new array and the dirty module set,
 // then either Commit (keep) or Revert (restore the placement first,
 // then call Revert — the previous analysis is reinstated from the
-// saved entries without re-evaluating anything).
+// saved copy without re-evaluating anything).
 //
 // On top of the dirty-set reuse sits a per-module memo table: module
 // j's analysis is a pure function of (array, j's rectangle, the
@@ -45,39 +43,22 @@ type Incremental struct {
 	p   *place.Placement
 	adj [][]int // span-overlap adjacency, index-aligned with modules
 
-	array     geom.Rect
-	knock     []int32   // per-cell knockout counters, array-local
-	uncovered [][]int32 // per-module knocked-out cell indices
-	reloc     []bool    // per-module relocatability
-	covered   int
+	array   geom.Rect
+	mods    []analysis // per-module analysis
+	covered int
 
 	// Staged speculation (one level deep).
 	staged     bool
-	fullSwap   bool // array changed: whole state saved aside
 	savedArray geom.Rect
 	savedCover int
-	savedKnock []int32
-	savedUncov [][]int32
-	savedReloc []bool
-	dirty      []int // modules re-evaluated by the staged Apply
+	savedMods  []analysis
 
-	// Spare buffers recycled across full rebuilds.
-	spareKnock []int32
-	spareUncov [][]int32
-	spareReloc []bool
-
-	// Per-module memo of the pure analysis function. Values are
-	// immutable once stored; uncovered[mi] and savedUncov alias them.
+	// Per-module memo of the pure analysis function.
 	memo   []*memoTable
 	memoOK []bool // adjacency degree fits the key; coordinates checked per key
 	keyBuf [maxKeyWords]uint64
 
 	scratch *moduleEval
-	// miners[mi] is module mi's empty-rectangle miner. Each keeps a
-	// snapshot of the grid it last mined — module mi's occupancy matrix
-	// — so a memo-missing re-evaluation re-mines only the rows the move
-	// actually dirtied instead of the whole array.
-	miners []emptyrect.Miner
 
 	evals int64 // per-module evaluations performed
 	hits  int64 // per-module evaluations avoided by the caches
@@ -89,11 +70,7 @@ type Incremental struct {
 // word per span-overlap neighbour (footprints and spans are
 // immutable, so positions and orientations are the whole story). The
 // run length is fixed per module at 2+degree, bounded by maxKeyWords.
-type memoVal struct {
-	uncovered []int32
-	reloc     bool
-}
-
+//
 // maxKeyWords bounds the memo key length: one array word, one own
 // configuration, up to 12 neighbours.
 const maxKeyWords = 14
@@ -116,7 +93,7 @@ type memoTable struct {
 	n        int      // live entries
 	hashes   []uint64 // 0 marks an empty slot (hashKey never returns 0)
 	keys     []uint64 // slot i holds keys[i*keyWords : (i+1)*keyWords]
-	vals     []memoVal
+	vals     []analysis
 }
 
 func newMemoTable(keyWords int) *memoTable {
@@ -126,7 +103,7 @@ func newMemoTable(keyWords int) *memoTable {
 		mask:     initSlots - 1,
 		hashes:   make([]uint64, initSlots),
 		keys:     make([]uint64, initSlots*keyWords),
-		vals:     make([]memoVal, initSlots),
+		vals:     make([]analysis, initSlots),
 	}
 }
 
@@ -154,12 +131,12 @@ func equalKey(a, b []uint64) bool {
 	return true
 }
 
-func (t *memoTable) lookup(key []uint64, h uint64) (memoVal, bool) {
+func (t *memoTable) lookup(key []uint64, h uint64) (analysis, bool) {
 	i := h & t.mask
 	for {
 		hv := t.hashes[i]
 		if hv == 0 {
-			return memoVal{}, false
+			return analysis{}, false
 		}
 		if hv == h && equalKey(t.keys[int(i)*t.keyWords:(int(i)+1)*t.keyWords], key) {
 			return t.vals[i], true
@@ -169,7 +146,7 @@ func (t *memoTable) lookup(key []uint64, h uint64) (memoVal, bool) {
 }
 
 // insert adds a key known to be absent, growing at 3/4 load.
-func (t *memoTable) insert(key []uint64, h uint64, v memoVal) {
+func (t *memoTable) insert(key []uint64, h uint64, v analysis) {
 	if 4*(t.n+1) > 3*len(t.hashes) {
 		t.grow()
 	}
@@ -190,7 +167,7 @@ func (t *memoTable) grow() {
 	t.mask = uint64(slots - 1)
 	t.hashes = make([]uint64, slots)
 	t.keys = make([]uint64, slots*t.keyWords)
-	t.vals = make([]memoVal, slots)
+	t.vals = make([]analysis, slots)
 	for j, h := range oldHashes {
 		if h == 0 {
 			continue
@@ -208,7 +185,6 @@ func (t *memoTable) grow() {
 // reset drops every entry, keeping the allocated capacity.
 func (t *memoTable) reset() {
 	clear(t.hashes)
-	clear(t.vals) // release the []int32 values to the GC
 	t.n = 0
 }
 
@@ -259,41 +235,38 @@ func (inc *Incremental) memoKeyFor(mi int) ([]uint64, bool) {
 }
 
 // evalModule returns module mi's analysis for the current array and
-// placement, consulting the memo first. Returned slices are memo-owned
-// and must not be mutated.
-func (inc *Incremental) evalModule(mi int) ([]int32, bool) {
+// placement, consulting the memo first.
+func (inc *Incremental) evalModule(mi int) analysis {
 	if inc.memoOK[mi] {
 		if key, ok := inc.memoKeyFor(mi); ok {
 			t := inc.memo[mi]
 			h := hashKey(key)
 			if v, hit := t.lookup(key, h); hit {
 				inc.hits++
-				return v.uncovered, v.reloc
+				return v
 			}
 			inc.evals++
-			u, r := inc.scratch.evalWith(inc.p, mi, nil, &inc.miners[mi])
+			v := inc.scratch.eval(inc.p, mi)
 			if t.n >= memoCapPerModule {
 				t.reset()
 			}
-			t.insert(key, h, memoVal{u, r})
-			return u, r
+			t.insert(key, h, v)
+			return v
 		}
 	}
 	inc.evals++
-	return inc.scratch.evalWith(inc.p, mi, nil, &inc.miners[mi])
+	return inc.scratch.eval(inc.p, mi)
 }
 
 // NewIncremental builds the incremental evaluator for p on its current
 // bounding box, evaluating every module once.
 func NewIncremental(p *place.Placement) *Incremental {
 	inc := &Incremental{
-		p:         p,
-		adj:       place.ConflictAdjacency(p.Modules),
-		uncovered: make([][]int32, len(p.Modules)),
-		reloc:     make([]bool, len(p.Modules)),
-		memo:      make([]*memoTable, len(p.Modules)),
-		memoOK:    make([]bool, len(p.Modules)),
-		miners:    make([]emptyrect.Miner, len(p.Modules)),
+		p:      p,
+		adj:    place.ConflictAdjacency(p.Modules),
+		mods:   make([]analysis, len(p.Modules)),
+		memo:   make([]*memoTable, len(p.Modules)),
+		memoOK: make([]bool, len(p.Modules)),
 	}
 	for i := range p.Modules {
 		if kw := len(inc.adj[i]) + 2; kw <= maxKeyWords {
@@ -355,70 +328,43 @@ func (inc *Incremental) AffectedBy(moved ...int) []int {
 
 // Apply re-evaluates the placement after a mutation: the placement
 // must already reflect the move, array must be its new bounding box,
-// and dirty must contain (at least) every module whose inputs changed,
-// without duplicates. The previous analysis is retained until Commit
-// or Revert; Apply panics if a speculation is already staged.
+// and dirty must contain (at least) every module whose inputs changed.
+// The previous analysis is retained until Commit or Revert; Apply
+// panics if a speculation is already staged.
 func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 	if inc.staged {
 		panic("fti: Apply while a speculation is staged")
 	}
 	inc.staged = true
+	inc.savedArray, inc.savedCover = inc.array, inc.covered
+	inc.savedMods = append(inc.savedMods[:0], inc.mods...)
 	if array != inc.array {
-		// The matrix every module is analysed on changed: full rebuild,
-		// with the old state saved aside wholesale.
-		inc.fullSwap = true
-		inc.savedArray = inc.array
-		inc.savedCover = inc.covered
-		inc.savedKnock = inc.knock
-		inc.savedUncov = inc.uncovered
-		inc.savedReloc = inc.reloc
-		inc.knock = inc.spareKnock
-		inc.uncovered = inc.spareUncov
-		inc.reloc = inc.spareReloc
-		if inc.uncovered == nil {
-			inc.uncovered = make([][]int32, len(inc.p.Modules))
-			inc.reloc = make([]bool, len(inc.p.Modules))
-		}
+		// The matrix every module is analysed on changed.
 		inc.rebuild(array)
 		return
 	}
-	inc.fullSwap = false
-	inc.savedCover = inc.covered
-	if len(dirty) > 0 {
-		inc.ensureScratch()
-	}
-	inc.dirty = append(inc.dirty[:0], dirty...)
-	if inc.savedUncov == nil {
-		inc.savedUncov = make([][]int32, 0, 8)
-		inc.savedReloc = make([]bool, 0, 8)
-	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
-	for _, mi := range dirty {
-		inc.savedUncov = append(inc.savedUncov, inc.uncovered[mi])
-		inc.savedReloc = append(inc.savedReloc, inc.reloc[mi])
-		inc.knockRemove(inc.uncovered[mi])
-		inc.uncovered[mi], inc.reloc[mi] = inc.evalModule(mi)
-		inc.knockAdd(inc.uncovered[mi])
-	}
 	inc.hits += int64(len(inc.p.Modules) - len(dirty))
+	if len(dirty) == 0 {
+		return
+	}
+	inc.ensureScratch() // a reverted rebuild may have reshaped it
+	changed := false
+	for _, mi := range dirty {
+		a := inc.evalModule(mi)
+		changed = changed || a.uncovered != inc.mods[mi].uncovered
+		inc.mods[mi] = a
+	}
+	if changed {
+		inc.recount()
+	}
 }
 
-// Commit keeps the staged analysis, releasing the saved one.
+// Commit keeps the staged analysis.
 func (inc *Incremental) Commit() {
 	if !inc.staged {
 		panic("fti: Commit without Apply")
 	}
 	inc.staged = false
-	if inc.fullSwap {
-		inc.spareKnock = inc.savedKnock
-		inc.spareUncov = inc.savedUncov
-		inc.spareReloc = inc.savedReloc
-		inc.savedKnock, inc.savedUncov, inc.savedReloc = nil, nil, nil
-		return
-	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
 }
 
 // Revert discards the staged analysis and reinstates the saved one.
@@ -429,88 +375,47 @@ func (inc *Incremental) Revert() {
 		panic("fti: Revert without Apply")
 	}
 	inc.staged = false
-	if inc.fullSwap {
-		inc.spareKnock = inc.knock
-		inc.spareUncov = inc.uncovered
-		inc.spareReloc = inc.reloc
-		inc.array = inc.savedArray
-		inc.covered = inc.savedCover
-		inc.knock = inc.savedKnock
-		inc.uncovered = inc.savedUncov
-		inc.reloc = inc.savedReloc
-		inc.savedKnock, inc.savedUncov, inc.savedReloc = nil, nil, nil
-		return
-	}
-	for i := len(inc.dirty) - 1; i >= 0; i-- {
-		mi := inc.dirty[i]
-		inc.knockRemove(inc.uncovered[mi])
-		inc.knockAdd(inc.savedUncov[i])
-		inc.uncovered[mi] = inc.savedUncov[i]
-		inc.reloc[mi] = inc.savedReloc[i]
-	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
-	if inc.covered != inc.savedCover {
-		panic(fmt.Sprintf("fti: revert mismatch: covered %d != saved %d",
-			inc.covered, inc.savedCover))
-	}
+	inc.array, inc.covered = inc.savedArray, inc.savedCover
+	copy(inc.mods, inc.savedMods)
 }
 
 // rebuild evaluates every module from scratch on the given array.
 func (inc *Incremental) rebuild(array geom.Rect) {
 	inc.array = array
-	total := array.Cells()
-	if cap(inc.knock) < total {
-		inc.knock = make([]int32, total)
-	} else {
-		inc.knock = inc.knock[:total]
-		for i := range inc.knock {
-			inc.knock[i] = 0
-		}
-	}
-	inc.covered = total
-	if total > 0 && len(inc.p.Modules) > 0 {
-		inc.ensureScratch()
-		for mi := range inc.p.Modules {
-			inc.uncovered[mi], inc.reloc[mi] = inc.evalModule(mi)
-			inc.knockAdd(inc.uncovered[mi])
-		}
-	} else {
-		for mi := range inc.uncovered {
-			inc.uncovered[mi] = nil
-			inc.reloc[mi] = false
-		}
-	}
-}
-
-// ensureScratch (re)sizes the shared evaluation buffers for the
-// current array. The grid is reallocated only when the dimensions
-// change; an origin-only array shift reuses it.
-func (inc *Incremental) ensureScratch() {
-	if inc.scratch == nil {
-		inc.scratch = newModuleEval(inc.array)
+	if array.Empty() || len(inc.p.Modules) == 0 {
+		clear(inc.mods)
+		inc.covered = array.Cells()
 		return
 	}
-	if inc.scratch.g.W() != inc.array.W || inc.scratch.g.H() != inc.array.H {
+	inc.ensureScratch()
+	for mi := range inc.p.Modules {
+		inc.mods[mi] = inc.evalModule(mi)
+	}
+	inc.recount()
+}
+
+// ensureScratch points the shared evaluation buffers at the current
+// array. The grid is reallocated only when the dimensions change; an
+// origin-only array shift reuses it.
+func (inc *Incremental) ensureScratch() {
+	switch {
+	case inc.scratch == nil:
+		inc.scratch = newModuleEval(inc.array)
+	case inc.scratch.g.W() != inc.array.W || inc.scratch.g.H() != inc.array.H:
 		inc.scratch.g.Resize(inc.array.W, inc.array.H)
 	}
 	inc.scratch.array = inc.array
 }
 
-func (inc *Incremental) knockAdd(cells []int32) {
-	for _, c := range cells {
-		if inc.knock[c] == 0 {
-			inc.covered--
-		}
-		inc.knock[c]++
-	}
-}
-
-func (inc *Incremental) knockRemove(cells []int32) {
-	for _, c := range cells {
-		inc.knock[c]--
-		if inc.knock[c] == 0 {
-			inc.covered++
+// recount sets covered from the union of the modules' uncovered
+// rectangles, drawn on the scratch grid (free between evaluations).
+func (inc *Incremental) recount() {
+	g := inc.scratch.g
+	g.Clear()
+	for _, a := range inc.mods {
+		if !a.uncovered.Empty() {
+			g.SetRect(a.uncovered, true)
 		}
 	}
+	inc.covered = inc.array.Cells() - g.PopCount()
 }

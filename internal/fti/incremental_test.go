@@ -27,32 +27,17 @@ func randomPlacement(rng *rand.Rand, n int) *place.Placement {
 }
 
 // checkAgainstScratch asserts the incremental evaluator's covered
-// count, array, and per-cell knockouts exactly match ComputeOn.
+// count, array, per-cell coverage and relocatability exactly match
+// ComputeOn.
 func checkAgainstScratch(t *testing.T, tag string, inc *Incremental, p *place.Placement) {
 	t.Helper()
-	array := p.BoundingBox()
-	res := ComputeOn(p, array)
-	if inc.Array() != array {
-		t.Fatalf("%s: array = %v, scratch %v", tag, inc.Array(), array)
-	}
-	if inc.Covered() != res.Covered {
-		t.Fatalf("%s: covered = %d, scratch %d", tag, inc.Covered(), res.Covered)
-	}
-	if inc.Total() != res.Total {
-		t.Fatalf("%s: total = %d, scratch %d", tag, inc.Total(), res.Total)
-	}
-	for c, cov := range res.CoveredMap {
-		if (inc.knock[c] == 0) != cov {
-			t.Fatalf("%s: cell %d covered=%v, scratch %v", tag, c, inc.knock[c] == 0, cov)
-		}
-	}
-	for mi, r := range res.ModuleRelocatable {
-		if inc.reloc[mi] != r {
-			t.Fatalf("%s: module %d relocatable=%v, scratch %v", tag, mi, inc.reloc[mi], r)
-		}
-	}
+	res := ComputeOn(p, p.BoundingBox())
+	assertSameResult(t, tag, incResult(inc), res)
 	if inc.FTI() != res.FTI() {
-		t.Fatalf("%s: FTI = %v, scratch %v", tag, inc.FTI(), res.FTI())
+		t.Errorf("%s: FTI = %v, scratch %v", tag, inc.FTI(), res.FTI())
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 }
 
@@ -198,4 +183,23 @@ func TestIncrementalApplyTwicePanics(t *testing.T) {
 		}
 	}()
 	inc.Apply(p.BoundingBox(), nil)
+}
+
+// TestIncrementalEmptyPlacement: a placement with no modules has an
+// empty bounding box; Apply, Commit and Revert must leave it at FTI 0
+// without building a 0-wide grid.
+func TestIncrementalEmptyPlacement(t *testing.T) {
+	p := place.New(nil)
+	inc := NewIncremental(p)
+	for _, keep := range []bool{true, false} {
+		inc.Apply(p.BoundingBox(), nil)
+		if keep {
+			inc.Commit()
+		} else {
+			inc.Revert()
+		}
+		if inc.Total() != 0 || inc.Covered() != 0 || inc.FTI() != 0 {
+			t.Fatalf("empty placement: total %d covered %d FTI %v", inc.Total(), inc.Covered(), inc.FTI())
+		}
+	}
 }

@@ -7,8 +7,8 @@
 // The matrix is bit-packed: each row is a run of 64-cell words, so
 // the hot geometric predicates — RectFree, SetRect, CountOccupied —
 // are word operations (mask tests, popcounts) instead of per-cell
-// byte loads. Scanline consumers (the maximal-empty-rectangle miner)
-// read rows through RowWords; BoolGrid retains the historical []bool
+// byte loads. Scanline consumers (the maximal-empty-rectangle miner,
+// the FTI feasible-site kernel) read rows through Words and RowWords; BoolGrid retains the historical []bool
 // implementation as a differential-testing oracle.
 package grid
 
