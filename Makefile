@@ -6,7 +6,7 @@ RECOVERY_TRIALS ?= 512
 SERVE_REQUESTS ?= 100
 MULTISTART_STARTS ?= 4
 
-.PHONY: all build test race vet fmtcheck errcheck rowguard fuzz bench benchquick serve-smoke dispatch-smoke yield-smoke ci clean
+.PHONY: all build test race vet fmtcheck errcheck rowguard benchcheck fuzz bench benchquick serve-smoke dispatch-smoke yield-smoke ci clean
 
 all: build
 
@@ -49,6 +49,13 @@ rowguard:
 	if [ -n "$$out" ]; then \
 		echo "deprecated grid.Row(y) callers (use RowWords):"; echo "$$out"; exit 1; \
 	fi
+
+# benchcheck vets and tests the repository benchmark (layerbench/).
+# It is a Go module of its own, so the root `go test ./...` never
+# builds it, and a change to an internal API it calls would otherwise
+# break the benchmark unnoticed.
+benchcheck:
+	cd layerbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz smoke-runs every native fuzz target for FUZZTIME each (go only
 # accepts one -fuzz pattern per invocation). Seed corpora live in the
@@ -157,7 +164,7 @@ yield-smoke:
 	echo "yield-smoke: ok (clustered summaries byte-identical at 1 and 4 workers)"; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-ci: vet build test race fmtcheck errcheck rowguard
+ci: vet build test race fmtcheck errcheck rowguard benchcheck
 
 clean:
 	$(GO) clean ./...

@@ -28,7 +28,10 @@ import (
 // accumulation, so that long runs cannot drift.
 //
 // S is the snapshot type used for best-state tracking; M is the move
-// value, which should be small (it is passed by value).
+// handle. RunMoves passes it by value to Delta and to Commit or
+// Revert, so a problem with a large move should make M a pointer to a
+// move it owns and reuses; RunMoves never keeps M past that
+// iteration's Commit or Revert.
 type MoveProblem[S, M any] struct {
 	// Cost returns the exact cost of the current committed state.
 	// Called once before the first proposal and once after every
@@ -79,16 +82,18 @@ func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Res
 	bestCost := curCost
 	res := Result[S]{Evaluations: 1}
 
+	var accept acceptCache
 	T := sched.T0
 	for level := 0; level < maxLevels; level++ {
 		l := Level{Index: level, T: T}
 		levelStart := time.Now()
+		accept.reset()
 		for i := 0; i < sched.Iters; i++ {
 			m := p.Propose(T, rng)
 			dC := p.Delta(m)
 			res.Evaluations++
 			l.Proposed++
-			if dC < 0 || rng.Float64() < math.Exp(-dC/T) {
+			if dC < 0 || rng.Float64() < accept.prob(dC, T) {
 				p.Commit(m)
 				curCost = p.Cost()
 				l.Accepted++
@@ -123,4 +128,34 @@ func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Res
 	res.Best = best
 	res.BestCost = bestCost
 	return res
+}
+
+// acceptCache memoises the Metropolis probability math.Exp(-dC/T) for
+// small non-negative integer dC within one temperature level. Placement
+// costs are integer cell counts and penalties, so in area annealing
+// nearly every uphill delta repeats a few hundred values thousands of
+// times per level. math.Exp is a pure function of dC/T, so a cached
+// value is the very float a fresh call returns; the cache changes
+// neither an acceptance decision nor the RNG draw order.
+type acceptCache struct {
+	// p[d] is math.Exp(-d/T) for the current level's T, or 0 when not
+	// yet computed (a computed 0 — an underflow — is just recomputed).
+	p [1024]float64
+}
+
+// reset forgets the previous level's probabilities; call it whenever T
+// changes.
+func (c *acceptCache) reset() { clear(c.p[:]) }
+
+// prob returns math.Exp(-dC/T), from the cache when dC is an integer
+// in [0, len(c.p)).
+func (c *acceptCache) prob(dC, T float64) float64 {
+	d := int(dC)
+	if float64(d) != dC || d < 0 || d >= len(c.p) {
+		return math.Exp(-dC / T)
+	}
+	if c.p[d] == 0 {
+		c.p[d] = math.Exp(-dC / T)
+	}
+	return c.p[d]
 }

@@ -441,7 +441,7 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 	span := max(prob.MaxW, prob.MaxH)
 
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
-	problem := anneal.MoveProblem[*place.Placement, kernelMove]{
+	problem := anneal.MoveProblem[*place.Placement, *kernelMove]{
 		Cost:     k.Cost,
 		Propose:  k.Propose,
 		Delta:    k.Delta,
@@ -622,7 +622,7 @@ func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 		// Single displacement only; the FTI term is priced by the
 		// incremental per-module cache.
 		k := newMoveKernel(start.Clone(), prob2, o, f.Beta, true, true)
-		problem := anneal.MoveProblem[*place.Placement, kernelMove]{
+		problem := anneal.MoveProblem[*place.Placement, *kernelMove]{
 			Cost:     k.Cost,
 			Propose:  k.Propose,
 			Delta:    k.Delta,

@@ -11,15 +11,13 @@ import (
 
 // kernelMove is one Section 4(b) perturbation in move form: up to two
 // module relocations (one for the displacement families, two for the
-// interchange families), each carrying its exact inverse so a rejected
-// move is undone in place instead of discarding a cloned placement.
+// interchange families). A rejected move is undone in place from the
+// books Delta saved, so the move need not carry its inverse.
 type kernelMove struct {
-	n      int // 1 or 2 relocations
-	idx    [2]int
-	oldPos [2]geom.Point
-	newPos [2]geom.Point
-	oldRot [2]bool
-	newRot [2]bool
+	n   int // 1 or 2 relocations
+	idx [2]int
+	pos [2]geom.Point
+	rot [2]bool
 }
 
 // kernelCounters tallies the incremental kernel's work for the
@@ -33,11 +31,14 @@ type kernelCounters struct {
 }
 
 // moveKernel prices the annealing placers' moves incrementally. It
-// owns a place.State (overlap + bounding box in O(degree) per move),
-// an optional fti.Incremental (stage 2 only), and a running obstacle-
-// hit count, and derives the cost from those integer quantities with
-// exactly the floating-point expression the clone-based placer used —
-// so a move-based run replays a clone-based run bit for bit.
+// owns a place.State (rectangles, overlap and bounding box in
+// O(degree) per move), an optional fti.Incremental (stage 2 only), and
+// a running obstacle-hit count, and derives the cost from those
+// integer quantities with exactly the floating-point expression the
+// clone-based placer used — so a move-based run replays a clone-based
+// run bit for bit. Delta saves the books (State.Mark and the hit
+// count) and Revert restores them, so a rejected move costs O(1) per
+// moved module to undo.
 type moveKernel struct {
 	prob       Problem
 	o          Options
@@ -45,12 +46,15 @@ type moveKernel struct {
 	useFTI     bool
 	singleOnly bool
 
-	st   *place.State
-	inc  *fti.Incremental
-	hits int // (module, obstacle) incidences, maintained per move
+	st        *place.State
+	inc       *fti.Incremental
+	hits      int // (module, obstacle) incidences, maintained per move
+	savedHits int // hits before the staged move, restored by Revert
 
 	cost    float64 // committed cost
 	pending float64 // staged cost, adopted by Commit
+
+	mv kernelMove // the one move Propose fills and hands out by pointer
 
 	dirty    []int  // scratch: modules invalidated by the staged move
 	dirtyIn  []bool // scratch: dedup marks, index-aligned with modules
@@ -101,8 +105,9 @@ func (k *moveKernel) costNow() float64 {
 
 // Propose generates a Section 4(b) move. It consumes the RNG in
 // exactly the order the clone-based neighbor function did, so seeded
-// runs stay reproducible across the refactor.
-func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
+// runs stay reproducible across the refactor. The returned move is
+// the kernel's own and is overwritten by the next Propose.
+func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 	p := k.st.P
 	n := len(p.Modules)
 	span := k.prob.MaxW
@@ -111,22 +116,21 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
 	}
 	w := window(T, k.o.WindowT0, span)
 
-	var m kernelMove
+	m := &k.mv
 	if k.singleOnly || n < 2 || rng.Float64() < k.o.PSingle {
 		// Move types (i)/(ii): displace one module within the window,
 		// possibly changing its orientation.
 		i := rng.Intn(n)
 		m.n = 1
 		m.idx[0] = i
-		m.oldPos[0], m.oldRot[0] = p.Pos[i], p.Rot[i]
-		rot := m.oldRot[0]
+		rot := p.Rot[i]
 		if rng.Intn(2) == 0 && rotatable(p.Modules[i], k.prob) {
 			rot = !rot
 		}
 		dx := rng.Intn(2*w+1) - w
 		dy := rng.Intn(2*w+1) - w
-		m.newRot[0] = rot
-		m.newPos[0] = clampPos(m.oldPos[0].Add(geom.Point{X: dx, Y: dy}),
+		m.rot[0] = rot
+		m.pos[0] = clampPos(p.Pos[i].Add(geom.Point{X: dx, Y: dy}),
 			sizeOf(p.Modules[i], rot), k.prob)
 	} else {
 		// Move types (iii)/(iv): interchange a pair, possibly rotating
@@ -138,20 +142,18 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
 		}
 		m.n = 2
 		m.idx[0], m.idx[1] = i, j
-		m.oldPos[0], m.oldRot[0] = p.Pos[i], p.Rot[i]
-		m.oldPos[1], m.oldRot[1] = p.Pos[j], p.Rot[j]
-		m.newRot[0], m.newRot[1] = m.oldRot[0], m.oldRot[1]
+		m.rot[0], m.rot[1] = p.Rot[i], p.Rot[j]
 		if rng.Intn(2) == 0 {
 			t := 0
 			if rng.Intn(2) == 0 {
 				t = 1
 			}
 			if rotatable(p.Modules[m.idx[t]], k.prob) {
-				m.newRot[t] = !m.newRot[t]
+				m.rot[t] = !m.rot[t]
 			}
 		}
-		m.newPos[0] = clampPos(m.oldPos[1], sizeOf(p.Modules[i], m.newRot[0]), k.prob)
-		m.newPos[1] = clampPos(m.oldPos[0], sizeOf(p.Modules[j], m.newRot[1]), k.prob)
+		m.pos[0] = clampPos(p.Pos[j], sizeOf(p.Modules[i], m.rot[0]), k.prob)
+		m.pos[1] = clampPos(p.Pos[i], sizeOf(p.Modules[j], m.rot[1]), k.prob)
 	}
 	k.counters.proposed++
 	return m
@@ -164,17 +166,20 @@ func sizeOf(m place.Module, rot bool) geom.Size {
 	return m.Size
 }
 
-// Delta stages m — mutating the placement, the incremental state and
-// the FTI caches — and returns the exact cost change.
-func (k *moveKernel) Delta(m kernelMove) float64 {
+// Delta stages m — saving the books, then mutating the placement, the
+// incremental state and the FTI caches — and returns the exact cost
+// change.
+func (k *moveKernel) Delta(m *kernelMove) float64 {
+	k.st.Mark()
+	k.savedHits = k.hits
 	for t := 0; t < m.n; t++ {
 		i := m.idx[t]
 		if len(k.prob.Obstacles) > 0 {
-			k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+			k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
 		}
-		k.st.MoveModule(i, m.newPos[t], m.newRot[t])
+		k.st.MoveModule(i, m.pos[t], m.rot[t])
 		if len(k.prob.Obstacles) > 0 {
-			k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+			k.hits += coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
 		}
 	}
 	if k.useFTI {
@@ -186,7 +191,7 @@ func (k *moveKernel) Delta(m kernelMove) float64 {
 }
 
 // Commit finalises the staged move.
-func (k *moveKernel) Commit(m kernelMove) {
+func (k *moveKernel) Commit(m *kernelMove) {
 	if k.useFTI {
 		k.inc.Commit()
 	}
@@ -194,27 +199,20 @@ func (k *moveKernel) Commit(m kernelMove) {
 	k.counters.committed++
 }
 
-// Revert undoes the staged move exactly.
-func (k *moveKernel) Revert(m kernelMove) {
+// Revert undoes the staged move exactly: the moved modules go back
+// and the books Delta saved are restored, with no re-pricing.
+func (k *moveKernel) Revert(m *kernelMove) {
 	if k.useFTI {
 		k.inc.Revert()
 	}
-	for t := m.n - 1; t >= 0; t-- {
-		i := m.idx[t]
-		if len(k.prob.Obstacles) > 0 {
-			k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
-		k.st.MoveModule(i, m.oldPos[t], m.oldRot[t])
-		if len(k.prob.Obstacles) > 0 {
-			k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
-	}
+	k.st.Undo()
+	k.hits = k.savedHits
 	k.counters.reverted++
 }
 
 // dirtySet returns the deduplicated FTI-invalidation set of m: the
 // moved modules plus their span-conflict neighbours.
-func (k *moveKernel) dirtySet(m kernelMove) []int {
+func (k *moveKernel) dirtySet(m *kernelMove) []int {
 	k.dirty = k.dirty[:0]
 	add := func(i int) {
 		if !k.dirtyIn[i] {

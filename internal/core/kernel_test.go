@@ -136,3 +136,116 @@ func TestKernelDifferentialFTI(t *testing.T) {
 		runKernelDifferential(t, prob, Options{}, 30, true, true, int64(round)*13+5, 2500)
 	}
 }
+
+// runRevertDifferential drives the move kernel through a seeded mix of
+// displacements, pair interchanges and rotations, committing or
+// reverting each at random, and after every step checks each cached
+// quantity against its from-scratch source: the overlap, the bounding
+// box, every module rectangle, the obstacle-hit count and the cost.
+// It reports how many pair moves, rotations and reverts it made, so
+// callers can assert the revert path was exercised in every form.
+func runRevertDifferential(t *testing.T, p *place.Placement, prob Problem, o Options, beta float64, useFTI bool, seed int64, moves int) (pairs, rotations, reverts int) {
+	t.Helper()
+	o = o.withDefaults(len(prob.Modules))
+	k := newMoveKernel(p, prob, o, beta, useFTI, false)
+	rng := rand.New(rand.NewSource(seed))
+	rngD := rand.New(rand.NewSource(seed + 1000)) // commit/revert decisions
+
+	T := o.T0
+	if useFTI {
+		T = 5
+	}
+	for mv := 0; mv < moves; mv++ {
+		m := k.Propose(T, rng)
+		if m.n == 2 {
+			pairs++
+		}
+		for t := 0; t < m.n; t++ {
+			if m.rot[t] != p.Rot[m.idx[t]] {
+				rotations++
+			}
+		}
+		k.Delta(m)
+		if rngD.Intn(2) == 0 {
+			k.Commit(m)
+		} else {
+			k.Revert(m)
+			reverts++
+		}
+
+		if got, want := k.st.Overlap(), p.OverlapCells(); got != want {
+			t.Fatalf("move %d: overlap = %d, scratch %d", mv, got, want)
+		}
+		if got, want := k.st.BoundingBox(), p.BoundingBox(); got != want {
+			t.Fatalf("move %d: bbox = %v, scratch %v", mv, got, want)
+		}
+		for i := range p.Modules {
+			if got, want := k.st.Rect(i), p.Rect(i); got != want {
+				t.Fatalf("move %d: module %d rect = %v, scratch %v", mv, i, got, want)
+			}
+		}
+		if got, want := k.hits, prob.obstacleHits(p); got != want {
+			t.Fatalf("move %d: obstacle hits = %d, scratch %d", mv, got, want)
+		}
+		if got, want := k.Cost(), scratchCost(p, prob, o, beta, useFTI); got != want {
+			t.Fatalf("move %d: cost = %v, scratch %v", mv, got, want)
+		}
+		if mv%50 == 49 {
+			T *= 0.95
+			if T < 0.05 {
+				T = o.T0
+			}
+		}
+	}
+	return pairs, rotations, reverts
+}
+
+// TestKernelRevertDifferential pins the O(1) revert (saved books in
+// place of re-priced inverse moves) against from-scratch values over
+// 30k+ moves each on PCR, on a FullReconfigure-style problem whose
+// dead cells sit under the starting placement, and on PCR with the
+// FTI term.
+func TestKernelRevertDifferential(t *testing.T) {
+	prob := pcrProblem()
+	stage1, _, err := AnnealArea(prob, lightOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := stage1.BoundingBox()
+	var dead []geom.Point
+	for i := 0; i < len(stage1.Modules); i += 2 {
+		dead = append(dead, stage1.Rect(i).Origin())
+	}
+	dead = append(dead, geom.Point{X: bb.MaxX() - 1, Y: bb.MaxY() - 1})
+	reconf := Problem{Modules: stage1.Modules, MaxW: bb.MaxX(), MaxH: bb.MaxY(), Obstacles: dead}
+	if err := reconf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		p       *place.Placement
+		prob    Problem
+		beta    float64
+		useFTI  bool
+		moves   int
+		minHits bool
+	}{
+		{"pcr", initialPlacement(prob), prob, 0, false, 30000, false},
+		{"reconfigure", stage1.Clone(), reconf, 0, false, 30000, true},
+		{"pcr-fti", stage1.Clone(), prob, 30, true, 5000, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.minHits && c.prob.obstacleHits(c.p) == 0 {
+				t.Fatal("starting placement covers no dead cell")
+			}
+			o := Options{PSingle: 0.6}
+			pairs, rotations, reverts := runRevertDifferential(t, c.p, c.prob, o, c.beta, c.useFTI, 41, c.moves)
+			if pairs == 0 || rotations == 0 || reverts == 0 || reverts == c.moves {
+				t.Fatalf("move mix not exercised: %d pairs, %d rotations, %d reverts of %d",
+					pairs, rotations, reverts, c.moves)
+			}
+		})
+	}
+}

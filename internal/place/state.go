@@ -24,6 +24,9 @@ func ConflictAdjacency(mods []Module) [][]int {
 // quantities, so a simulated-annealing move can be priced in O(degree)
 // instead of rescanning every module and conflict pair:
 //
+//   - every module's occupied rectangle is cached, so a move reads its
+//     neighbours' rectangles instead of re-deriving them from position,
+//     orientation and footprint;
 //   - the forbidden-overlap cell count (Placement.OverlapCells) is
 //     kept as a running sum, adjusted per move over the moved module's
 //     conflict adjacency list;
@@ -31,14 +34,20 @@ func ConflictAdjacency(mods []Module) [][]int {
 //     per-coordinate occupancy counts of module edges, so boundary
 //     shrinks are found by a short scan instead of a full pass.
 //
+// Mark and Undo give an O(1)-per-module revert: Mark saves the scalar
+// books (overlap and bounding box) and starts an undo log, and Undo
+// puts back every module moved since, then restores the saved books
+// instead of re-pricing the inverse moves.
+//
 // All bookkeeping is integer-exact: after any sequence of MoveModule
-// calls, Overlap and BoundingBox equal the from-scratch values bit for
-// bit (the differential tests assert this over long random move
-// sequences). Mutate the placement only through MoveModule; positions
-// must stay non-negative.
+// and Undo calls, Overlap, BoundingBox and Rect equal the from-scratch
+// values bit for bit (the differential tests assert this over long
+// random move sequences). Mutate the placement only through
+// MoveModule and Undo; positions must stay non-negative.
 type State struct {
-	P   *Placement
-	adj [][]int // conflict adjacency lists, index-aligned with modules
+	P     *Placement
+	adj   [][]int     // conflict adjacency lists, index-aligned with modules
+	rects []geom.Rect // rects[i] == P.Rect(i)
 
 	overlap int
 
@@ -48,6 +57,21 @@ type State struct {
 	// between the extreme non-zero counts.
 	loX, hiX, loY, hiY []int
 	bbox               geom.Rect
+
+	// Undo log: the books saved by Mark and, while marked, the prior
+	// placement of each module moved since, in move order.
+	marked       bool
+	savedOverlap int
+	savedBBox    geom.Rect
+	undoLog      []undoEntry
+}
+
+// undoEntry is one module's placement before a logged move.
+type undoEntry struct {
+	i    int
+	pos  geom.Point
+	rot  bool
+	rect geom.Rect
 }
 
 // NewState builds the incremental view of p, deriving every cached
@@ -55,7 +79,7 @@ type State struct {
 // coordinate (the annealing placers clamp positions to the core area,
 // so a negative position is a caller bug).
 func NewState(p *Placement) *State {
-	s := &State{P: p, adj: ConflictAdjacency(p.Modules)}
+	s := &State{P: p, adj: ConflictAdjacency(p.Modules), rects: make([]geom.Rect, len(p.Modules))}
 	maxX, maxY := 1, 1
 	for i := range p.Modules {
 		r := p.Rect(i)
@@ -63,6 +87,7 @@ func NewState(p *Placement) *State {
 			panic(fmt.Sprintf("place: module %s at negative position %v",
 				p.Modules[i].Name, r.Origin()))
 		}
+		s.rects[i] = r
 		maxX = max(maxX, r.MaxX())
 		maxY = max(maxY, r.MaxY())
 	}
@@ -70,8 +95,7 @@ func NewState(p *Placement) *State {
 	s.hiX = make([]int, maxX+1)
 	s.loY = make([]int, maxY+1)
 	s.hiY = make([]int, maxY+1)
-	for i := range p.Modules {
-		r := p.Rect(i)
+	for _, r := range s.rects {
 		s.loX[r.X]++
 		s.hiX[r.MaxX()]++
 		s.loY[r.Y]++
@@ -94,22 +118,24 @@ func (s *State) BoundingBox() geom.Rect { return s.bbox }
 // P.ArrayCells().
 func (s *State) ArrayCells() int { return s.bbox.Cells() }
 
+// Rect returns module i's cached rectangle; it equals P.Rect(i).
+func (s *State) Rect(i int) geom.Rect { return s.rects[i] }
+
 // Adjacent returns module i's conflict adjacency list (do not mutate).
 func (s *State) Adjacent(i int) []int { return s.adj[i] }
 
 // MoveModule relocates module i to pos with orientation rot, updating
-// the cached overlap count and bounding box in O(degree + boundary
-// scan). Calling it again with the previous position and orientation
-// reverts the move exactly — the incremental quantities are integers,
-// so there is no drift.
+// the cached rectangle, overlap count and bounding box in
+// O(degree + boundary scan). Calling it again with the previous
+// position and orientation also reverts the move exactly — the
+// incremental quantities are integers, so there is no drift — but
+// Undo does so without re-pricing.
 func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
 	p := s.P
-	old := p.Rect(i)
-	for _, j := range s.adj[i] {
-		s.overlap -= old.Intersect(p.Rect(j)).Cells()
+	old := s.rects[i]
+	if s.marked {
+		s.undoLog = append(s.undoLog, undoEntry{i: i, pos: p.Pos[i], rot: p.Rot[i], rect: old})
 	}
-	s.dropEdges(old)
-
 	p.Pos[i] = pos
 	p.Rot[i] = rot
 	now := p.Rect(i)
@@ -117,11 +143,44 @@ func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
 		panic(fmt.Sprintf("place: module %s moved to negative position %v",
 			p.Modules[i].Name, pos))
 	}
+	s.rects[i] = now
+	s.dropEdges(old)
 	s.addEdges(now)
 	for _, j := range s.adj[i] {
-		s.overlap += now.Intersect(p.Rect(j)).Cells()
+		r := s.rects[j]
+		s.overlap += now.Intersect(r).Cells() - old.Intersect(r).Cells()
 	}
 	s.refitBBox(old, now)
+}
+
+// Mark saves the scalar books and starts logging moves, so a later
+// Undo can revert every MoveModule made after this call. A new Mark
+// discards the previous log: moves before it become permanent.
+func (s *State) Mark() {
+	s.marked = true
+	s.savedOverlap, s.savedBBox = s.overlap, s.bbox
+	s.undoLog = s.undoLog[:0]
+}
+
+// Undo reverts every MoveModule since the last Mark in O(1) per moved
+// module: it puts back each module's position, orientation, rectangle
+// and edge counts, newest first, then restores the books Mark saved.
+// That is exact because the books are a function of the rectangles
+// alone, which are now those Mark saw. Undo ends the mark; it panics
+// without one.
+func (s *State) Undo() {
+	if !s.marked {
+		panic("place: Undo without Mark")
+	}
+	for t := len(s.undoLog) - 1; t >= 0; t-- {
+		e := s.undoLog[t]
+		s.dropEdges(s.rects[e.i])
+		s.addEdges(e.rect)
+		s.P.Pos[e.i], s.P.Rot[e.i], s.rects[e.i] = e.pos, e.rot, e.rect
+	}
+	s.overlap, s.bbox = s.savedOverlap, s.savedBBox
+	s.marked = false
+	s.undoLog = s.undoLog[:0]
 }
 
 // dropEdges removes a rectangle's edge contributions.

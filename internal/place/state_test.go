@@ -82,6 +82,70 @@ func TestStateMoveRevert(t *testing.T) {
 	}
 }
 
+// TestStateMarkUndo moves one to three modules after each Mark (a
+// module may move twice) and then either undoes them or keeps them,
+// asserting after every step that the positions, orientations, cached
+// rectangles, overlap and bounding box equal the from-scratch values —
+// and, after an Undo, the values Mark saw.
+func TestStateMarkUndo(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for round := 0; round < 10; round++ {
+		mods := randomModules(rng, 3+rng.Intn(8))
+		p := New(mods)
+		for i := range mods {
+			p.Pos[i] = geom.Point{X: rng.Intn(12), Y: rng.Intn(12)}
+			p.Rot[i] = rng.Intn(2) == 0
+		}
+		s := NewState(p)
+		for step := 0; step < 1000; step++ {
+			before := p.Clone()
+			wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
+			s.Mark()
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				s.MoveModule(rng.Intn(len(mods)),
+					geom.Point{X: rng.Intn(16), Y: rng.Intn(16)}, rng.Intn(2) == 0)
+			}
+			undo := rng.Intn(2) == 0
+			if undo {
+				s.Undo()
+				for i := range mods {
+					if p.Pos[i] != before.Pos[i] || p.Rot[i] != before.Rot[i] {
+						t.Fatalf("round %d step %d: Undo left module %d at %v/%v, want %v/%v",
+							round, step, i, p.Pos[i], p.Rot[i], before.Pos[i], before.Rot[i])
+					}
+				}
+				if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
+					t.Fatalf("round %d step %d: Undo books overlap %d bbox %v, want %d %v",
+						round, step, s.Overlap(), s.BoundingBox(), wantOverlap, wantBB)
+				}
+			}
+			if got, want := s.Overlap(), p.OverlapCells(); got != want {
+				t.Fatalf("round %d step %d (undo %v): overlap = %d, scratch %d", round, step, undo, got, want)
+			}
+			if got, want := s.BoundingBox(), p.BoundingBox(); got != want {
+				t.Fatalf("round %d step %d (undo %v): bbox = %v, scratch %v", round, step, undo, got, want)
+			}
+			for i := range mods {
+				if got, want := s.Rect(i), p.Rect(i); got != want {
+					t.Fatalf("round %d step %d (undo %v): rect %d = %v, scratch %v", round, step, undo, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestStateUndoWithoutMarkPanics(t *testing.T) {
+	s := NewState(New(randomModules(rand.New(rand.NewSource(1)), 2)))
+	s.Mark()
+	s.Undo()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a second Undo after one Mark did not panic")
+		}
+	}()
+	s.Undo()
+}
+
 func TestConflictAdjacency(t *testing.T) {
 	mods := []Module{
 		{ID: 0, Span: geom.Interval{Start: 0, End: 5}},
